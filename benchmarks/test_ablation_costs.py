@@ -10,8 +10,8 @@ from dataclasses import replace
 
 from conftest import emit
 
+from repro.api import Session
 from repro.cluster import GiB, marenostrum_preliminary
-from repro.experiments.common import run_paired
 from repro.metrics.report import format_table
 from repro.runtime import RuntimeConfig
 from repro.workload import FSWorkloadConfig, fs_workload
@@ -28,10 +28,8 @@ def sweep_state_bytes(num_jobs: int = 25, seed: int = 2017):
         ("64 GiB", 64.0 * GiB),
     ]:
         cfg = FSWorkloadConfig(state_bytes=nbytes)
-        pair = run_paired(
-            fs_workload(num_jobs, seed=seed, config=cfg),
-            cluster,
-            runtime_config=RuntimeConfig(),
+        pair = Session(cluster=cluster, runtime=RuntimeConfig()).run_paired(
+            fs_workload(num_jobs, seed=seed, config=cfg)
         )
         rows.append([label, pair.flexible.makespan, pair.makespan_gain])
         gains[label] = pair.makespan_gain
@@ -48,11 +46,9 @@ def sweep_check_cost(num_jobs: int = 25, seed: int = 2017):
     rows = []
     gains = {}
     for cost in (0.0, 0.15, 1.0, 5.0):
-        pair = run_paired(
-            fs_workload(num_jobs, seed=seed),
-            cluster,
-            runtime_config=RuntimeConfig(check_cost=cost),
-        )
+        pair = Session(
+            cluster=cluster, runtime=RuntimeConfig(check_cost=cost)
+        ).run_paired(fs_workload(num_jobs, seed=seed))
         rows.append([cost, pair.flexible.makespan, pair.makespan_gain])
         gains[cost] = pair.makespan_gain
     table = format_table(

@@ -12,24 +12,23 @@ from dataclasses import replace
 
 from conftest import emit
 
+from repro.api import Session
 from repro.cluster import marenostrum_production
-from repro.experiments.common import run_workload
 from repro.metrics.report import format_table
 from repro.runtime import RuntimeConfig
 from repro.workload import realapp_workload
 
 
 def run_moldable_study(num_jobs: int = 50, seed: int = 2017):
-    cluster = marenostrum_production()
-    runtime = RuntimeConfig()
+    session = Session(cluster=marenostrum_production(), runtime=RuntimeConfig())
 
     spec = realapp_workload(num_jobs, seed=seed)
-    fixed = run_workload(spec, cluster, flexible=False, runtime_config=runtime)
-    flexible = run_workload(spec, cluster, flexible=True, runtime_config=runtime)
+    fixed = session.run(spec, flexible=False)
+    flexible = session.run(spec, flexible=True)
 
     mold_spec = realapp_workload(num_jobs, seed=seed)
     mold_spec.jobs = [replace(s, moldable=True) for s in mold_spec.jobs]
-    moldable = run_workload(mold_spec, cluster, flexible=True, runtime_config=runtime)
+    moldable = session.run(mold_spec, flexible=True)
 
     rows = []
     for label, result in [

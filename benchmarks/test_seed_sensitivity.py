@@ -8,8 +8,8 @@ the conclusions are not seed artifacts.
 import numpy as np
 from conftest import emit
 
+from repro.api import Session
 from repro.cluster import marenostrum_preliminary, marenostrum_production
-from repro.experiments.common import run_paired
 from repro.metrics.report import format_table
 from repro.runtime import RuntimeConfig
 from repro.workload import fs_workload, realapp_workload
@@ -20,21 +20,17 @@ SEEDS = (2017, 7, 13, 42, 99)
 def run_sensitivity():
     fs_gains = []
     for seed in SEEDS:
-        pair = run_paired(
-            fs_workload(25, seed=seed),
-            marenostrum_preliminary(),
-            runtime_config=RuntimeConfig(),
-        )
+        pair = Session(
+            cluster=marenostrum_preliminary(), runtime=RuntimeConfig()
+        ).run_paired(fs_workload(25, seed=seed))
         fs_gains.append(pair.makespan_gain)
 
     real_gains = []
     real_wait_gains = []
     for seed in SEEDS:
-        pair = run_paired(
-            realapp_workload(50, seed=seed),
-            marenostrum_production(),
-            runtime_config=RuntimeConfig(),
-        )
+        pair = Session(
+            cluster=marenostrum_production(), runtime=RuntimeConfig()
+        ).run_paired(realapp_workload(50, seed=seed))
         real_gains.append(pair.makespan_gain)
         real_wait_gains.append(pair.wait_gain)
 

@@ -186,12 +186,12 @@ def _run_user_workload(args: argparse.Namespace) -> int:
     flexible = not args.rigid
     largest = max(js.submit_nodes for js in spec.jobs)
     num_nodes = args.nodes if args.nodes is not None else max(65, largest)
-    session = Session(cluster=ClusterConfig(num_nodes=num_nodes))
-    if backend != "sim":
-        options = {}
-        if args.time_scale is not None:
-            options["time_scale"] = args.time_scale
-        session = session.with_backend(backend, **options)
+    options = {}
+    if args.time_scale is not None:
+        options["time_scale"] = args.time_scale
+    session = Session(cluster=ClusterConfig(num_nodes=num_nodes)).with_backend(
+        backend, **options
+    )
     if args.seed is not None:
         # SWF logs pin every job's size, runtime and arrival, so a replay
         # is deterministic; keep the flag accepted (scripts pass it
@@ -716,9 +716,10 @@ def _build_bench_sched_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro bench sched",
         description="Scheduler-scale bench: replay large synthetic "
-        "Feitelson/SWF traces through both scheduler modes; emits "
-        "BENCH_sched.json with pass counts, wall-clock and the "
-        "incremental-vs-legacy comparison-work ratio.",
+        "Feitelson/SWF traces through the incremental scheduler and "
+        "the legacy resort-per-pass reference; emits BENCH_sched.json "
+        "with pass counts, wall-clock and the incremental-vs-legacy "
+        "comparison-work ratio.",
     )
     parser.add_argument("--quick", action="store_true",
                         help="single small trace for CI smoke runs")
@@ -729,10 +730,7 @@ def _build_bench_sched_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=None, metavar="S",
                         help="trace seed (default 2017)")
     parser.add_argument("--no-legacy", action="store_true",
-                        help="skip the legacy-scheduler replays")
-    parser.add_argument("--legacy-cap", type=int, default=None, metavar="N",
-                        help="largest trace replayed with the legacy "
-                        "scheduler (default 20000)")
+                        help="skip the legacy reference-scheduler replays")
     parser.add_argument("--out", metavar="FILE", default=None,
                         help="output path (default BENCH_sched.json)")
     parser.add_argument("--check", action="store_true",
@@ -756,7 +754,6 @@ def _bench_sched_mode(argv: List[str]) -> int:
     from repro.errors import SweepError
     from repro.sweep.bench import (
         SCHED_BENCH_PATH,
-        SCHED_LEGACY_CAP,
         check_sched_bench,
         run_sched_bench,
         write_bench,
@@ -792,8 +789,6 @@ def _bench_sched_mode(argv: List[str]) -> int:
         quick=args.quick,
         seed=DEFAULT_BASE_SEED if args.seed is None else args.seed,
         legacy=not args.no_legacy,
-        legacy_cap=(SCHED_LEGACY_CAP if args.legacy_cap is None
-                    else args.legacy_cap),
         progress=progress,
         profile_path=args.profile,
         trace_path=args.trace,

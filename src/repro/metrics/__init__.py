@@ -1,6 +1,5 @@
 """Measurement layer: traces, timelines and paper-metric summaries."""
 
-from repro.metrics.histogram import LatencyHistogram
 from repro.metrics.report import (
     format_csv,
     format_evolution,
@@ -32,7 +31,6 @@ from repro.metrics.trace import (
 
 __all__ = [
     "EventKind",
-    "LatencyHistogram",
     "StepSeries",
     "StreamingTraceWriter",
     "Trace",

@@ -19,10 +19,8 @@ operation; they keep their plain-int tallies (``SchedStats``,
 ``publish_*`` bridges below — either once per run or lazily from a
 collector callback at scrape time.
 
-:class:`LatencyHistogram` lives here now (it started as
-``repro.metrics.histogram``, which remains as a compatibility shim):
-the registry is its primary consumer and ``repro.obs`` must not import
-from ``repro.metrics``.
+:class:`LatencyHistogram` lives here: the registry is its primary
+consumer and ``repro.obs`` must not import from ``repro.metrics``.
 """
 
 from __future__ import annotations

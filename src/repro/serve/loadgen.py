@@ -7,7 +7,7 @@ i.e. the full lifecycle a real client pays, including the per-request
 TCP handshake (connections are one-shot by design).
 
 Client-side latencies are measured per phase (submit / stream / status)
-with the same :class:`~repro.metrics.histogram.LatencyHistogram` the
+with the same :class:`~repro.obs.registry.LatencyHistogram` the
 server uses, then the server's own ``/metrics`` snapshot is appended so
 the report shows both sides of the wire.  The run ends with a drain
 check: ``POST /v1/admin/drain``, one refused submission (must be 503),

@@ -77,13 +77,6 @@ class SlurmConfig:
     #: behaviour; off by default here because the paper's workloads are
     #: well-behaved and malleable jobs rescale their limits on resize).
     enforce_time_limits: bool = False
-    #: Use the incrementally-maintained pending queue and running-jobs
-    #: expected-end index (O(k log n) per pass in jobs actually touched)
-    #: instead of the legacy re-sort-everything-per-pass path.  Both
-    #: produce byte-identical schedules (pinned by the golden-trace
-    #: suite); the flag exists so benches and the golden tests can run
-    #: the legacy scheduler for comparison.
-    incremental_queue: bool = True
     #: Keep finished :class:`Job` records (and their start events) after
     #: completion.  Experiments need the archive for post-hoc metrics;
     #: million-job replays turn it off so controller memory stays
@@ -124,12 +117,8 @@ class SlurmController:
         #: by ``Session.build`` when telemetry is enabled; None keeps
         #: the scheduling hot path free of any recording cost.
         self.telemetry = None
-        #: Incremental priority queue (None in legacy resort-per-pass mode).
-        self.queue: Optional[PendingQueue] = (
-            PendingQueue(self.priority_engine, self.stats)
-            if self.config.incremental_queue
-            else None
-        )
+        #: Incrementally maintained priority queue of the pending jobs.
+        self.queue = PendingQueue(self.priority_engine, self.stats)
         # Running jobs ordered by (expected_end, start order) — the
         # accounting plan_backfill's shadow computation needs, maintained
         # incrementally on start/finish/resize instead of re-sorted per
@@ -172,19 +161,10 @@ class SlurmController:
     # -- queue introspection -------------------------------------------------
     def pending_jobs(self, include_resizers: bool = True) -> List[Job]:
         """Pending queue in multifactor priority order."""
-        if self.queue is not None:
-            jobs = self.queue.ordered(self.env.now)
-            if include_resizers:
-                return jobs
-            return [j for j in jobs if not j.is_resizer]
-        jobs = [
-            j
-            for j in self.pending.values()
-            if include_resizers or not j.is_resizer
-        ]
-        # Legacy path: every ordered view recomputes one priority per job.
-        self.stats.key_evals += len(jobs)
-        return self.priority_engine.sort_queue(jobs, self.env.now)
+        jobs = self.queue.ordered(self.env.now)
+        if include_resizers:
+            return jobs
+        return [j for j in jobs if not j.is_resizer]
 
     # -- running-jobs expected-end index -------------------------------------
     def _running_insert(self, job: Job) -> None:
@@ -245,8 +225,7 @@ class SlurmController:
         job.job_id = next(self._ids)
         job.submit_time = self.env.now
         self.pending[job.job_id] = job
-        if self.queue is not None:
-            self.queue.add(job, self.env.now)
+        self.queue.add(job, self.env.now)
         self._start_events[job.job_id] = Event(self.env)
         self.trace.record(
             self.env.now,
@@ -305,8 +284,7 @@ class SlurmController:
         """Cancel a pending or running job (releases any held nodes)."""
         if job.job_id in self.pending:
             del self.pending[job.job_id]
-            if self.queue is not None:
-                self.queue.discard(job)
+            self.queue.discard(job)
             job.transition(JobState.CANCELLED)
             job.end_time = self.env.now
             self._archive(job)
@@ -367,18 +345,15 @@ class SlurmController:
         priority jobs only jump the queue during the periodic backfill
         thread's pass (:meth:`_backfill_pass`).
 
-        Incremental mode peeks at the priority heap's head and only
-        checks a job out once it is known to start (or be skipped for an
-        unsatisfied dependency) — O(k log n) in the k jobs that actually
-        move, and O(1) with *zero* heap traffic for the common saturated
-        case where the head does not fit.  Legacy mode re-sorts the whole
-        queue, as the original controller did; both produce the same
-        starts in the same order.
+        The pass peeks at the priority heap's head and only checks a job
+        out once it is known to start (or be skipped for an unsatisfied
+        dependency) — O(k log n) in the k jobs that actually move, and
+        O(1) with *zero* heap traffic for the common saturated case where
+        the head does not fit.  It starts the same jobs in the same order
+        as the original resort-per-pass scheduler, which survives as the
+        test oracle :class:`repro.testing.reference.ResortPerPassController`.
         """
         self._pass_scheduled = False
-        if self.queue is None:
-            self._scheduling_pass_legacy()
-            return
         wall_t0 = perf_counter() if self.telemetry is not None else 0.0
         now = self.env.now
         free = self.machine.free_count
@@ -410,24 +385,6 @@ class SlurmController:
             free -= job.num_nodes
         for job in deferred:
             self.queue.push_back(job)
-        self._note_pass("fifo", examined, started, wall_t0)
-
-    def _scheduling_pass_legacy(self) -> None:
-        wall_t0 = perf_counter() if self.telemetry is not None else 0.0
-        free = self.machine.free_count
-        examined = started = 0
-        for job in self.pending_jobs():
-            examined += 1
-            if not self._dependency_satisfied(job):
-                continue
-            if job.num_nodes > free:
-                fitted = self._moldable_fit(job, free)
-                if fitted is None:
-                    break
-                job.num_nodes = fitted
-            self._start_job(job)
-            started += 1
-            free -= job.num_nodes
         self._note_pass("fifo", examined, started, wall_t0)
 
     def _note_pass(self, kind: str, examined: int, started: int,
@@ -491,9 +448,6 @@ class SlurmController:
             self._backfill_thread_alive = False
 
     def _backfill_pass(self) -> None:
-        if self.queue is None:
-            self._backfill_pass_legacy()
-            return
         wall_t0 = perf_counter() if self.telemetry is not None else 0.0
         # Pop candidates in priority order until bf_max_job_test eligible
         # ones are in hand (dependency-blocked jobs are skipped, exactly
@@ -529,34 +483,13 @@ class SlurmController:
             "backfill", len(eligible) + len(deferred), len(starts), wall_t0
         )
 
-    def _backfill_pass_legacy(self) -> None:
-        wall_t0 = perf_counter() if self.telemetry is not None else 0.0
-        pending = self.pending_jobs()
-        eligible = [j for j in pending if self._dependency_satisfied(j)]
-        running = self.running_jobs()
-        starts, reservation = plan_backfill(
-            eligible,
-            running,
-            self.machine.free_count,
-            self.env.now,
-            unreturnable=self.machine.held_unreturnable,
-        )
-        if reservation is not None:
-            # compute_shadow sorted every running job (plus this pass's
-            # picks) by expected end.
-            self.stats.running_end_evals += len(running) + len(starts)
-        for job in starts:
-            self._start_job(job)
-        self._note_pass("backfill", len(pending), len(starts), wall_t0)
-
     def _start_job(self, job: Job) -> None:
         nodes = self.machine.allocate(job.job_id, job.num_nodes)
         job.nodes = nodes
         job.transition(JobState.RUNNING)
         job.start_time = self.env.now
         del self.pending[job.job_id]
-        if self.queue is not None:
-            self.queue.discard(job)
+        self.queue.discard(job)
         self.running[job.job_id] = job
         self._running_insert(job)
         self.trace.record(
@@ -633,8 +566,7 @@ class SlurmController:
             beneficiary = self.pending.get(decision.beneficiary_job_id)
             if beneficiary is not None:
                 beneficiary.priority_boost = float("inf")
-                if self.queue is not None:
-                    self.queue.reprioritize(beneficiary, self.env.now)
+                self.queue.reprioritize(beneficiary, self.env.now)
         return decision
 
     def _effective_request(self, job: Job, request: ResizeRequest) -> ResizeRequest:
@@ -923,8 +855,7 @@ class SlurmController:
             if callable(fresh):
                 job.payload = fresh()
         self.pending[job.job_id] = job
-        if self.queue is not None:
-            self.queue.add(job, self.env.now)
+        self.queue.add(job, self.env.now)
         self._start_events[job.job_id] = Event(self.env)
         self.trace.record(
             self.env.now,

@@ -18,10 +18,12 @@ earliest saturation deadline and, once crossed, degrades to re-keying the
 live entries per distinct timestamp — exactly the legacy cost, only for
 queues that have had jobs pending for a week.
 
-:class:`SchedStats` counts the work both scheduler modes perform
-(priority-key evaluations, heap traffic, jobs examined per pass); the
-``repro bench sched`` harness reads it to prove the incremental path does
-asymptotically less work than the legacy resort-per-pass path.
+:class:`SchedStats` counts the work a scheduler performs (priority-key
+evaluations, heap traffic, jobs examined per pass); the ``repro bench
+sched`` harness reads it from the production controller and from the
+resort-per-pass reference
+(:class:`~repro.testing.reference.ResortPerPassController`) to prove the
+incremental path does asymptotically less work.
 """
 
 from __future__ import annotations
@@ -42,8 +44,9 @@ class SchedStats:
     ``key_evals`` (multifactor priority-key computations) plus
     ``running_end_evals`` (expected-end keys computed for backfill's
     shadow ordering) make up the bench's "comparisons" metric: they are
-    the per-job work the legacy scheduler redoes on every pass and the
-    incremental scheduler performs once per queue update.
+    the per-job work the resort-per-pass reference scheduler redoes on
+    every pass and the incremental scheduler performs once per queue
+    update.
     """
 
     fifo_passes: int = 0

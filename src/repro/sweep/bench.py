@@ -8,10 +8,12 @@ Two verbs share this module:
   per-metric simulated-result statistics with 95% confidence bands.
 * ``repro bench sched`` — the scheduler-scale benchmark: replays large
   synthetic Feitelson traces (and their SWF round trip) through a bare
-  :class:`~repro.slurm.controller.SlurmController` in both scheduler
-  modes and emits ``BENCH_sched.json`` with pass counts, wall-clock and
-  the comparison-work ratio of the incremental hot path over the legacy
-  resort-per-pass one.
+  :class:`~repro.slurm.controller.SlurmController` and through the
+  resort-per-pass reference scheduler
+  (:class:`~repro.testing.reference.ResortPerPassController`), and emits
+  ``BENCH_sched.json`` with pass counts, wall-clock and the
+  comparison-work ratio of the incremental hot path over the legacy
+  (reference) one.
 
 ``--quick`` shrinks either bench for CI smoke runs.
 """
@@ -132,6 +134,10 @@ def replay_sched_trace(
     the scheduler hot path (queue maintenance, FIFO passes, EASY
     backfill) from the runtime/DMR machinery.
 
+    ``incremental=False`` replays through the resort-per-pass reference
+    scheduler (:class:`~repro.testing.reference.ResortPerPassController`)
+    instead of the production controller.
+
     ``lean=True`` replays with a non-retaining trace and without the
     finished-job archive (:attr:`SlurmConfig.retain_finished` off), so a
     million-job replay holds only the live jobs in memory.  Scheduling
@@ -147,16 +153,19 @@ def replay_sched_trace(
     from repro.sim.engine import Environment
     from repro.slurm.controller import SlurmConfig, SlurmController
     from repro.slurm.job import Job
+    from repro.testing.reference import ResortPerPassController
 
     if num_nodes is None:
         num_nodes = autosize_cluster(trace)
     env = Environment()
     machine = Machine(num_nodes)
-    controller = SlurmController(
+    controller_class = (
+        SlurmController if incremental else ResortPerPassController
+    )
+    controller = controller_class(
         env,
         machine,
         SlurmConfig(
-            incremental_queue=incremental,
             backfill_interval=backfill_interval,
             retain_finished=not lean,
         ),
@@ -249,7 +258,6 @@ def run_sched_bench(
     quick: bool = False,
     seed: int = DEFAULT_BASE_SEED,
     legacy: bool = True,
-    legacy_cap: int = SCHED_LEGACY_CAP,
     progress=None,
     profile_path: Optional[str] = None,
     trace_path: Optional[str] = None,
@@ -257,8 +265,8 @@ def run_sched_bench(
     """Run the scheduler-scale bench; returns the BENCH_sched.json payload.
 
     For every trace size: replay with the incremental scheduler, replay
-    with the legacy resort-per-pass scheduler (up to ``legacy_cap``
-    jobs), and record the comparison-work and wall-clock ratios.  The
+    with the legacy resort-per-pass reference scheduler (up to
+    ``SCHED_LEGACY_CAP`` jobs), and record the comparison-work and wall-clock ratios.  The
     smallest size is additionally replayed from an SWF round trip of the
     trace, covering the real-log import path.  Sizes at or above
     ``SCHED_LEAN_MIN`` replay lean (flat memory, see
@@ -323,7 +331,7 @@ def run_sched_bench(
                 f"({exported['events']} events) written to {trace_path}"
             )
         entry: Dict[str, object] = {"incremental": incremental}
-        if legacy and size <= legacy_cap:
+        if legacy and size <= SCHED_LEGACY_CAP:
             say(f"replaying {size}-job trace (legacy scheduler)")
             entry["legacy"] = replay_sched_trace(trace, incremental=False)
             entry["speedup"] = speedup_of(entry["legacy"], entry["incremental"])
@@ -335,7 +343,7 @@ def run_sched_bench(
     swf_entry: Dict[str, object] = {
         "incremental": replay_sched_trace(swf_trace, incremental=True)
     }
-    if legacy and swf_size <= legacy_cap:
+    if legacy and swf_size <= SCHED_LEGACY_CAP:
         swf_entry["legacy"] = replay_sched_trace(swf_trace, incremental=False)
         swf_entry["speedup"] = speedup_of(
             swf_entry["legacy"], swf_entry["incremental"]

@@ -7,6 +7,10 @@
   :class:`~repro.errors.InvariantViolation` at the breaking event.
 * :func:`run_bounded` — ``env.run`` with an event budget, so a wedged
   process fails the test instead of hanging CI.
+* :class:`repro.testing.reference.ResortPerPassController` — the
+  original resort-per-pass scheduler, kept as the oracle the
+  differential tests and ``repro bench sched`` compare the production
+  :class:`~repro.slurm.controller.SlurmController` against.
 * :mod:`repro.testing.pytest_plugin` — loaded from the repo's root
   conftest; wires an InvariantObserver into every ``Session.build`` of
   the suite (opt out with ``@pytest.mark.no_invariants``).

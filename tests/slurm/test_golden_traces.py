@@ -11,10 +11,11 @@ work on the scheduling hot path is provably behaviour-preserving:
 * ``table2`` — paired real-application workloads (25/50 jobs).
 
 The committed files under ``goldens/`` were captured from the
-pre-refactor (re-sort-every-pass) scheduler after PR 4's correctness
+pre-refactor (re-sort-every-pass) scheduler after its correctness
 fixes; ``test_incremental_matches_legacy_*`` additionally re-derives the
-legacy order live, so the equivalence proof does not age as the seeds
-move.  Regenerate after an *intentional* behaviour change with::
+legacy order live through the reference scheduler
+(:class:`repro.testing.reference.ResortPerPassController`), so the
+equivalence proof does not age as the seeds move.  Regenerate after an *intentional* behaviour change with::
 
     PYTHONPATH=src python tests/slurm/test_golden_traces.py --regen
 """
@@ -146,19 +147,35 @@ def test_table2_golden_unchanged_with_telemetry():
 # The golden files pin today's behaviour; these tests re-derive the
 # legacy (re-sort-every-pass) schedule live and diff the full tuple
 # stream, so the incremental scheduler's equivalence proof does not age.
+# Session assembly looks the controller class up at call time, so
+# patching the module attribute swaps in the reference scheduler.
 
-def _legacy_session() -> Session:
-    from repro.slurm import SlurmConfig
+def _legacy_lines(monkeypatch, golden_lines) -> List[str]:
+    import repro.slurm.controller
+    from repro.testing.reference import ResortPerPassController
 
-    return Session().with_slurm(SlurmConfig(incremental_queue=False))
+    built = []
+
+    class Recorded(ResortPerPassController):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(repro.slurm.controller, "SlurmController", Recorded)
+        lines = golden_lines()
+    assert built, "the reference scheduler was never assembled"
+    return lines
 
 
-def test_incremental_matches_legacy_fig3():
-    assert fig3_golden_lines() == fig3_golden_lines(_legacy_session())
+def test_incremental_matches_legacy_fig3(monkeypatch):
+    assert fig3_golden_lines() == _legacy_lines(monkeypatch, fig3_golden_lines)
 
 
-def test_incremental_matches_legacy_table2():
-    assert table2_golden_lines() == table2_golden_lines(_legacy_session())
+def test_incremental_matches_legacy_table2(monkeypatch):
+    assert table2_golden_lines() == _legacy_lines(
+        monkeypatch, table2_golden_lines
+    )
 
 
 # -- regeneration entry point -------------------------------------------------

@@ -146,7 +146,8 @@ class TestPolicyProperties:
 # legacy resort-per-pass one on three pinned golden traces.  The suite
 # below fuzzes that equivalence proof: random job traces — sizes, limits,
 # moldable flags, mid-run cancels, node failures with repairs — are
-# replayed through both scheduler modes, and the *entire canonical trace*
+# replayed through the production controller and the resort-per-pass
+# reference (:class:`ResortPerPassController`), and the *entire canonical trace*
 # (every start, backfill pick, requeue, resize decision and allocation
 # change, in order) must match exactly.  Every replay also runs under the
 # InvariantObserver, so the fuzz doubles as an invariant hunt.
@@ -155,9 +156,10 @@ from repro.cluster import Machine
 from repro.metrics.trace import canonical_lines
 from repro.sim import Environment
 from repro.sim.process import Interrupt
-from repro.slurm import SlurmConfig, SlurmController
+from repro.slurm import SlurmController
 from repro.slurm.job import JobClass
 from repro.testing import InvariantObserver, run_bounded
+from repro.testing.reference import ResortPerPassController
 
 DIFF_NODES = 12
 DIFF_HORIZON = 100_000.0
@@ -200,12 +202,13 @@ fault_strategy = st.builds(
 
 def _replay_differential(jobs: List[TraceJob], faults: List[TraceFault],
                          incremental: bool) -> List[str]:
-    """Replay a fuzzed trace through one scheduler mode; canonical lines."""
+    """Replay a fuzzed trace through one scheduler; canonical lines."""
     env = Environment()
     machine = Machine(DIFF_NODES)
-    ctl = SlurmController(
-        env, machine, SlurmConfig(incremental_queue=incremental)
+    controller_class = (
+        SlurmController if incremental else ResortPerPassController
     )
+    ctl = controller_class(env, machine)
     observer = InvariantObserver(controller=ctl)
     ctl.trace.subscribe(observer.on_event)
     runtimes = {}

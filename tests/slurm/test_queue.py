@@ -10,9 +10,9 @@ from repro.slurm import (
     MultifactorConfig,
     MultifactorPriority,
     PendingQueue,
-    SlurmConfig,
     SlurmController,
 )
+from repro.testing.reference import ResortPerPassController
 
 
 def job_of(jid, nodes, submit, boost=0.0):
@@ -151,13 +151,15 @@ class TestSaturationFallback:
 
 
 class TestControllerModeEquivalence:
-    """Legacy and incremental controllers must emit identical traces."""
+    """The incremental controller and the resort-per-pass reference
+    must emit identical traces."""
 
     def _drive(self, incremental):
         env = Environment()
-        ctl = SlurmController(
-            env, Machine(16), SlurmConfig(incremental_queue=incremental)
+        controller_class = (
+            SlurmController if incremental else ResortPerPassController
         )
+        ctl = controller_class(env, Machine(16))
         rng = random.Random(42)
         jobs = []
         for i in range(30):

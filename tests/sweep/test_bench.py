@@ -1,9 +1,17 @@
-"""Tests for the ``repro bench`` ensemble emitter."""
+"""Tests for the ``repro bench`` emitters and the sched-bench drift gate."""
 
 import json
+from pathlib import Path
 
 from repro.store import ResultStore
 from repro.sweep import run_bench, write_bench
+from repro.sweep.bench import (
+    VOLATILE_BENCH_KEYS,
+    bench_drift,
+    check_sched_bench,
+)
+
+COMMITTED_SCHED_BENCH = Path(__file__).resolve().parents[2] / "BENCH_sched.json"
 
 
 def _quick_bench(store=None):
@@ -51,3 +59,30 @@ class TestWriteBench:
         data = json.loads(path.read_text())
         assert data["bench"] == "sweep"
         assert data["artifacts"]["fig1"]["metrics"]
+
+
+class TestSchedBenchDrift:
+    def test_committed_sched_bench_matches_both_schedulers(self):
+        # Replays the smallest committed size through the incremental
+        # scheduler and the resort-per-pass reference, so a reference
+        # that counted its work differently fails here, not only in CI.
+        committed = json.loads(COMMITTED_SCHED_BENCH.read_text())
+        smallest = min(committed["traces"], key=int)
+        assert "legacy" in committed["traces"][smallest]
+        assert check_sched_bench(str(COMMITTED_SCHED_BENCH)) == []
+
+    def test_drift_ignores_volatile_keys_and_reports_nested_ones(self):
+        committed = {
+            "traces": {"5": {"legacy": {"comparisons": 10, "wall_s": 1.0}}},
+            "generated_unix": 1.0,
+        }
+        fresh = {
+            "traces": {"5": {"legacy": {"comparisons": 11, "wall_s": 9.0}}},
+            "generated_unix": 2.0,
+        }
+        assert {"wall_s", "generated_unix"} <= VOLATILE_BENCH_KEYS
+        assert bench_drift(committed, fresh) == [
+            "traces.5.legacy.comparisons: committed 10 != fresh 11"
+        ]
+        fresh["traces"]["5"]["legacy"]["comparisons"] = 10
+        assert bench_drift(committed, fresh) == []

@@ -10,7 +10,7 @@ import pytest
 
 from repro.cluster import marenostrum_production
 from repro.core import DecisionReason
-from repro.experiments.common import run_workload
+from repro.api import Session
 from repro.metrics import EventKind
 from repro.runtime import RuntimeConfig
 from repro.workload import realapp_workload
@@ -19,12 +19,9 @@ from repro.workload import realapp_workload
 @pytest.fixture(scope="module")
 def flexible_run():
     """One 30-job Section IX flexible execution, shared by the tests."""
-    return run_workload(
-        realapp_workload(30, seed=2017),
-        marenostrum_production(),
-        flexible=True,
-        runtime_config=RuntimeConfig(),
-    )
+    return Session(
+        cluster=marenostrum_production(), runtime=RuntimeConfig()
+    ).run(realapp_workload(30, seed=2017), flexible=True)
 
 
 def test_jobs_launched_at_maximum(flexible_run):
@@ -76,12 +73,9 @@ def test_completion_dominated_by_waiting_in_fixed():
     """'This [waiting] time is responsible for the reduction in the
     workload execution time' (Section IX-B): fixed jobs wait far longer
     than they run."""
-    fixed = run_workload(
-        realapp_workload(30, seed=2017),
-        marenostrum_production(),
-        flexible=False,
-        runtime_config=RuntimeConfig(),
-    )
+    fixed = Session(
+        cluster=marenostrum_production(), runtime=RuntimeConfig()
+    ).run(realapp_workload(30, seed=2017), flexible=False)
     s = fixed.summary
     assert s.avg_wait_time > 2 * s.avg_execution_time
 

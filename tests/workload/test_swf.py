@@ -2,9 +2,9 @@
 
 import pytest
 
+from repro.api import Session
 from repro.cluster import ClusterConfig
 from repro.errors import WorkloadError
-from repro.experiments.common import run_workload
 from repro.workload import (
     FSWorkloadConfig,
     export_results,
@@ -54,7 +54,9 @@ class TestParse:
 
     def test_imported_workload_runs(self):
         spec = parse_swf(SAMPLE_SWF, steps=4)
-        result = run_workload(spec, ClusterConfig(num_nodes=16), flexible=True)
+        result = Session(cluster=ClusterConfig(num_nodes=16)).run(
+            spec, flexible=True
+        )
         assert result.summary.num_jobs == 3
 
     def test_flexible_flag(self):
@@ -77,7 +79,9 @@ class TestExport:
 
     def test_export_results_records_actuals(self):
         spec = fs_workload(5, seed=2, config=FSWorkloadConfig(steps=4))
-        result = run_workload(spec, ClusterConfig(num_nodes=20), flexible=False)
+        result = Session(cluster=ClusterConfig(num_nodes=20)).run(
+            spec, flexible=False
+        )
         text = export_results(result.jobs)
         lines = [l for l in text.splitlines() if not l.startswith(";")]
         assert len(lines) == 5
@@ -97,7 +101,9 @@ class TestExport:
 
     def test_exported_results_reimportable(self):
         spec = fs_workload(5, seed=2, config=FSWorkloadConfig(steps=4))
-        result = run_workload(spec, ClusterConfig(num_nodes=20), flexible=False)
+        result = Session(cluster=ClusterConfig(num_nodes=20)).run(
+            spec, flexible=False
+        )
         replay = parse_swf(export_results(result.jobs), steps=4)
         assert len(replay) == 5
         # Replayed runtimes match the measured execution times.
