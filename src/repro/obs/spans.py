@@ -123,18 +123,63 @@ class Span:
 
 
 class Telemetry:
-    """A bounded span recorder with an explicit drop counter."""
+    """A bounded span recorder with an explicit drop counter.
 
-    __slots__ = ("config", "spans", "dropped")
+    Scheduler passes, by far the most frequent spans, are recorded into
+    parallel columns by :meth:`record_pass` and become :class:`Span`
+    objects only when :attr:`spans` is read; that list holds every span
+    in recording order.
+    """
+
+    __slots__ = ("config", "_spans", "dropped", "_pass_slot", "_pass_at",
+                 "_pass_kind", "_pass_examined", "_pass_started",
+                 "_pass_wall_us")
 
     def __init__(self, config: Optional[TelemetryConfig] = None) -> None:
         self.config = config or TelemetryConfig()
-        self.spans: List[Span] = []
+        self._spans: List[Span] = []
         self.dropped = 0
+        #: Pass columns: where in ``_spans`` each pass belongs (the span
+        #: count when it was recorded), then its sim time, kind, jobs
+        #: examined and started, and wall-clock microseconds.
+        self._pass_slot: List[int] = []
+        self._pass_at: List[float] = []
+        self._pass_kind: List[str] = []
+        self._pass_examined: List[int] = []
+        self._pass_started: List[int] = []
+        self._pass_wall_us: List[float] = []
 
     @property
     def correlation_id(self) -> Optional[str]:
         return self.config.correlation_id
+
+    @property
+    def spans(self) -> List[Span]:
+        """Every recorded span, in recording order."""
+        if self._pass_slot:
+            self._merge_passes()
+        return self._spans
+
+    def _merge_passes(self) -> None:
+        """Turn the pass columns into ``sched.pass`` spans, in order."""
+        columns = (self._pass_slot, self._pass_at, self._pass_kind,
+                   self._pass_examined, self._pass_started,
+                   self._pass_wall_us)
+        spans = self._spans
+        merged: List[Span] = []
+        taken = 0
+        for slot, at, kind, examined, started, wall_us in zip(*columns):
+            merged.extend(spans[taken:slot])
+            taken = slot
+            merged.append(Span(
+                "sched.pass", at, at, CLOCK_SIM, "scheduler",
+                {"kind": kind, "examined": examined, "started": started,
+                 "wall_us": wall_us},
+            ))
+        merged.extend(spans[taken:])
+        self._spans = merged
+        for column in columns:
+            column.clear()
 
     # -- recording -----------------------------------------------------------
     def record(
@@ -147,23 +192,28 @@ class Telemetry:
         **attrs: object,
     ) -> None:
         """Record one finished interval (both ends already known)."""
-        if len(self.spans) >= self.config.max_spans:
+        if len(self._spans) + len(self._pass_slot) >= self.config.max_spans:
             self.dropped += 1
             return
-        self.spans.append(Span(name, start, end, clock, track, attrs or None))
+        self._spans.append(Span(name, start, end, clock, track, attrs or None))
 
-    def append(self, span: Span) -> None:
-        """Append a pre-built span (the scheduler hot-path entry point).
+    def record_pass(self, at: float, kind: str, examined: int, started: int,
+                    wall_us: float) -> None:
+        """Record one scheduler pass as a ``sched.pass`` span.
 
-        :meth:`record` packs kwargs into an attrs dict on every call —
-        fine everywhere except a per-pass call site, where the packing
-        dominates the recording cost.  Hot paths build the
-        :class:`Span` themselves and land here.
+        The scheduler's per-pass entry point: it appends to the pass
+        columns instead of building a :class:`Span` and its attrs dict.
         """
-        if len(self.spans) >= self.config.max_spans:
+        slot = len(self._spans)
+        if slot + len(self._pass_slot) >= self.config.max_spans:
             self.dropped += 1
             return
-        self.spans.append(span)
+        self._pass_slot.append(slot)
+        self._pass_at.append(at)
+        self._pass_kind.append(kind)
+        self._pass_examined.append(examined)
+        self._pass_started.append(started)
+        self._pass_wall_us.append(wall_us)
 
     def instant(
         self,
@@ -203,13 +253,13 @@ class Telemetry:
     ) -> None:
         """Fold spans shipped back from a worker into this recorder."""
         for data in payload:
-            if len(self.spans) >= self.config.max_spans:
+            if len(self._spans) + len(self._pass_slot) >= self.config.max_spans:
                 self.dropped += 1
                 continue
             span = Span.from_dict(data)
             if "cid" in data:
                 span.attrs.setdefault("cid", data["cid"])
-            self.spans.append(span)
+            self._spans.append(span)
 
     def counts_by_name(self) -> Dict[str, int]:
         out: Dict[str, int] = {}

@@ -47,7 +47,6 @@ from repro.core.actions import (
 )
 from repro.errors import SchedulerError
 from repro.metrics.trace import EventKind, Trace
-from repro.obs.spans import Span
 from repro.sim.engine import Environment
 from repro.sim.events import Event
 from repro.slurm.backfill import BF_MAX_JOB_TEST, plan_backfill
@@ -345,13 +344,14 @@ class SlurmController:
         priority jobs only jump the queue during the periodic backfill
         thread's pass (:meth:`_backfill_pass`).
 
-        The pass peeks at the priority heap's head and only checks a job
+        The pass peeks at the pending queue's head and only checks a job
         out once it is known to start (or be skipped for an unsatisfied
-        dependency) — O(k log n) in the k jobs that actually move, and
-        O(1) with *zero* heap traffic for the common saturated case where
-        the head does not fit.  It starts the same jobs in the same order
-        as the original resort-per-pass scheduler, which survives as the
-        test oracle :class:`repro.testing.reference.ResortPerPassController`.
+        dependency) — O(k log n) comparisons in the k jobs that actually
+        move, and O(1) with *zero* queue traffic for the common saturated
+        case where the head does not fit.  It starts the same jobs in the
+        same order as the original resort-per-pass scheduler, which
+        survives as the test oracle
+        :class:`repro.testing.reference.ResortPerPassController`.
         """
         self._pass_scheduled = False
         wall_t0 = perf_counter() if self.telemetry is not None else 0.0
@@ -397,12 +397,10 @@ class SlurmController:
         """
         self.stats.record_pass(kind, examined, started)
         if self.telemetry is not None:
-            now = self.env.now
-            self.telemetry.append(Span(
-                "sched.pass", now, now, "sim", "scheduler",
-                {"kind": kind, "examined": examined, "started": started,
-                 "wall_us": (perf_counter() - wall_t0) * 1e6},
-            ))
+            self.telemetry.record_pass(
+                self.env.now, kind, examined, started,
+                (perf_counter() - wall_t0) * 1e6,
+            )
 
     def _moldable_fit(self, job: Job, free: int) -> Optional[int]:
         """Size a moldable job into ``free`` nodes (largest fit, or None).
@@ -449,20 +447,19 @@ class SlurmController:
 
     def _backfill_pass(self) -> None:
         wall_t0 = perf_counter() if self.telemetry is not None else 0.0
-        # Pop candidates in priority order until bf_max_job_test eligible
+        # Read candidates in priority order until bf_max_job_test eligible
         # ones are in hand (dependency-blocked jobs are skipped, exactly
-        # like the legacy full-queue filter); everything the planner does
-        # not start goes back with its cached key.
+        # like the legacy full-queue filter).  The walk is read-only:
+        # jobs the planner does not start stay where they are, and the
+        # ones it starts leave the queue through _start_job.
         eligible: List[Job] = []
-        deferred: List[Job] = []
-        while len(eligible) < BF_MAX_JOB_TEST:
-            job = self.queue.pop_head(self.env.now)
-            if job is None:
-                break
+        examined = 0
+        for job in self.queue.walk(self.env.now):
+            examined += 1
             if self._dependency_satisfied(job):
                 eligible.append(job)
-            else:
-                deferred.append(job)
+                if len(eligible) == BF_MAX_JOB_TEST:
+                    break
         starts, _reservation = plan_backfill(
             eligible,
             self._end_jobs,
@@ -471,17 +468,9 @@ class SlurmController:
             running_presorted=True,
             unreturnable=self.machine.held_unreturnable,
         )
-        started_ids = {job.job_id for job in starts}
-        for job in eligible:
-            if job.job_id not in started_ids:
-                self.queue.push_back(job)
-        for job in deferred:
-            self.queue.push_back(job)
         for job in starts:
             self._start_job(job)
-        self._note_pass(
-            "backfill", len(eligible) + len(deferred), len(starts), wall_t0
-        )
+        self._note_pass("backfill", examined, len(starts), wall_t0)
 
     def _start_job(self, job: Job) -> None:
         nodes = self.machine.allocate(job.job_id, job.num_nodes)
@@ -524,10 +513,16 @@ class SlurmController:
 
     # -- reconfiguration policy entry (used by the DMR API) --------------------
     def policy_view(self) -> PolicyView:
-        """Snapshot of the scheduler state for a reconfiguration decision."""
+        """Snapshot of the scheduler state for a reconfiguration decision.
+
+        O(1): the pending count, narrowest width and head come from the
+        queue's width index; the full order is built only if a caller
+        iterates ``view.pending`` (see
+        :class:`~repro.slurm.queue.PendingSnapshot`).
+        """
         return PolicyView(
             free_nodes=self.machine.free_count,
-            pending=tuple(self.pending_jobs(include_resizers=False)),
+            pending=self.queue.snapshot(self.env.now),
             running_count=len(self.running),
         )
 

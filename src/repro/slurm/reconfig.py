@@ -13,8 +13,8 @@ The policy has three modes, in decreasing precedence (Section IV):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Literal, Optional, Tuple
+from dataclasses import dataclass, field
+from typing import Literal, Optional
 
 from repro.core.actions import (
     DecisionReason,
@@ -23,6 +23,7 @@ from repro.core.actions import (
     ResizeRequest,
 )
 from repro.slurm.job import Job
+from repro.slurm.queue import PendingSnapshot
 
 
 @dataclass(frozen=True)
@@ -32,17 +33,24 @@ class PolicyView:
     In synchronous mode the view is taken at the DMR call; in asynchronous
     mode it is the (possibly stale) view captured one step earlier, which
     is exactly the effect Section VIII-C analyses.
+
+    ``pending`` may be given as any priority-ordered sequence of jobs; it
+    is held as a :class:`~repro.slurm.queue.PendingSnapshot`, whose
+    length, ``min_width`` and ``head`` Algorithm 1 reads without walking
+    the queue.
     """
 
     free_nodes: int
     #: Pending non-resizer jobs in priority order (head first).
-    pending: Tuple[Job, ...] = ()
+    pending: PendingSnapshot = field(default_factory=PendingSnapshot.of)
     #: Number of running jobs (including the caller).
     running_count: int = 1
 
     def __post_init__(self) -> None:
         if self.free_nodes < 0:
             raise ValueError(f"free_nodes must be >= 0, got {self.free_nodes}")
+        if not isinstance(self.pending, PendingSnapshot):
+            object.__setattr__(self, "pending", PendingSnapshot.of(self.pending))
 
 
 @dataclass(frozen=True)
@@ -162,7 +170,7 @@ class ReconfigurationPolicy:
             # If some queued job already fits in the free nodes, take no
             # action: the scheduler will start it, and expanding now would
             # steal its resources.
-            if any(p.num_nodes <= view.free_nodes for p in view.pending):
+            if view.pending.min_width <= view.free_nodes:
                 return ResizeDecision.no_action(current, DecisionReason.PENDING_FITS)
             shrink = self._shrink_for_pending(current, request, view)
             if shrink is not None:
@@ -200,7 +208,7 @@ class ReconfigurationPolicy:
             return None
         max_freeable = current - shrink_sizes[-1]
         candidates = (
-            view.pending[:1]
+            (view.pending.head,)
             if self.config.shrink_beneficiary == "head"
             else view.pending
         )

@@ -61,7 +61,7 @@ VOLATILE_BENCH_KEYS = frozenset({
     "wall_s",
     "wall_us_per_pass",
     "events_per_sec",
-    "peak_rss_mb",
+    "replay_heap_peak_mib",
     "wall_ratio",
     "wall_per_pass_ratio",
 })
@@ -119,15 +119,8 @@ def write_bench(data: Dict[str, object], path: str = BENCH_PATH) -> str:
 
 # -- the scheduler-scale bench (repro bench sched) ----------------------------
 
-def replay_sched_trace(
-    trace,
-    num_nodes: Optional[int] = None,
-    incremental: bool = True,
-    backfill_interval: float = 30.0,
-    lean: bool = False,
-    telemetry=None,
-) -> Dict[str, object]:
-    """Replay a scheduler trace through a bare controller; return stats.
+class SchedReplay:
+    """A scheduler-trace replay through a bare controller, ready to run.
 
     Jobs are rigid and carry no application payload: a started job simply
     occupies its nodes for its trace runtime, so the measurement isolates
@@ -145,90 +138,149 @@ def replay_sched_trace(
     in both modes.
 
     ``telemetry`` (a :class:`~repro.obs.spans.Telemetry`) attaches span
-    recording to the replayed controller; the perf budget tests pin its
-    overhead on this exact function.
+    recording to the replayed controller.
+
+    :meth:`advance` runs the replay up to a simulated time and adds the
+    wall-clock it took to :attr:`wall_s`, so a replay can also be run in
+    slices (the telemetry overhead pin interleaves two replays of one
+    trace that way); :meth:`result` reports the drained replay.
     """
-    from repro.cluster.machine import Machine
-    from repro.metrics.trace import Trace
-    from repro.sim.engine import Environment
-    from repro.slurm.controller import SlurmConfig, SlurmController
-    from repro.slurm.job import Job
-    from repro.testing.reference import ResortPerPassController
 
-    if num_nodes is None:
-        num_nodes = autosize_cluster(trace)
-    env = Environment()
-    machine = Machine(num_nodes)
-    controller_class = (
-        SlurmController if incremental else ResortPerPassController
-    )
-    controller = controller_class(
-        env,
-        machine,
-        SlurmConfig(
-            backfill_interval=backfill_interval,
-            retain_finished=not lean,
-        ),
-        trace=Trace(retain=not lean),
-    )
-    if telemetry is not None:
-        controller.telemetry = telemetry
-    runtimes: Dict[int, float] = {}
+    def __init__(
+        self,
+        trace,
+        num_nodes: Optional[int] = None,
+        incremental: bool = True,
+        backfill_interval: float = 30.0,
+        lean: bool = False,
+        telemetry=None,
+    ) -> None:
+        from repro.cluster.machine import Machine
+        from repro.metrics.trace import Trace
+        from repro.sim.engine import Environment
+        from repro.slurm.controller import SlurmConfig, SlurmController
+        from repro.slurm.job import Job
+        from repro.testing.reference import ResortPerPassController
 
-    def execute(job):
-        yield env.timeout(runtimes[job.job_id])
-        controller.finish_job(job)
-
-    controller.launcher = lambda job: env.process(
-        execute(job), name=f"run-{job.job_id}"
-    )
-
-    def submitter():
-        for tj in sorted(trace, key=lambda t: t.arrival):
-            if tj.arrival > env.now:
-                yield env.timeout(tj.arrival - env.now)
-            job = Job(name=tj.name, num_nodes=tj.nodes, time_limit=tj.limit)
-            controller.submit(job)
-            runtimes[job.job_id] = tj.runtime
-
-    env.process(submitter(), name="sched-bench-arrivals")
-    t0 = time.perf_counter()
-    env.run()
-    wall = time.perf_counter() - t0
-    if not controller.all_done():
-        from repro.errors import SweepError
-
-        raise SweepError(
-            f"sched bench trace did not drain: {len(controller.pending)} "
-            f"pending, {len(controller.running)} running on {num_nodes} nodes"
+        if num_nodes is None:
+            num_nodes = autosize_cluster(trace)
+        self.jobs = len(trace)
+        self.num_nodes = num_nodes
+        self.incremental = incremental
+        self.lean = lean
+        self.telemetry = telemetry
+        self.wall_s = 0.0
+        self.env = env = Environment()
+        controller_class = (
+            SlurmController if incremental else ResortPerPassController
         )
-    stats = controller.stats.snapshot()
-    if telemetry is not None:
-        stats["spans_recorded"] = len(telemetry.spans)
-        stats["spans_dropped"] = telemetry.dropped
-    return {
-        "mode": "incremental" if incremental else "legacy",
-        "jobs": len(trace),
-        "nodes": num_nodes,
-        "lean": lean,
-        "wall_s": wall,
-        "makespan_s": env.now,
-        "sim_events": env.events_processed,
-        "events_per_sec": env.events_processed / wall if wall else 0.0,
-        "peak_rss_mb": peak_rss_mb(),
-        "wall_us_per_pass": (
-            1e6 * wall / stats["passes"] if stats["passes"] else 0.0
-        ),
-        **stats,
-    }
+        self.controller = controller = controller_class(
+            env,
+            Machine(num_nodes),
+            SlurmConfig(
+                backfill_interval=backfill_interval,
+                retain_finished=not lean,
+            ),
+            trace=Trace(retain=not lean),
+        )
+        if telemetry is not None:
+            controller.telemetry = telemetry
+        runtimes: Dict[int, float] = {}
+
+        def execute(job):
+            yield env.timeout(runtimes[job.job_id])
+            controller.finish_job(job)
+
+        controller.launcher = lambda job: env.process(
+            execute(job), name=f"run-{job.job_id}"
+        )
+
+        def submitter():
+            for tj in sorted(trace, key=lambda t: t.arrival):
+                if tj.arrival > env.now:
+                    yield env.timeout(tj.arrival - env.now)
+                job = Job(name=tj.name, num_nodes=tj.nodes, time_limit=tj.limit)
+                controller.submit(job)
+                runtimes[job.job_id] = tj.runtime
+
+        env.process(submitter(), name="sched-bench-arrivals")
+
+    def advance(self, until: Optional[float] = None) -> None:
+        """Run up to simulated time ``until`` (None: until drained)."""
+        t0 = time.perf_counter()
+        self.env.run(until=until)
+        self.wall_s += time.perf_counter() - t0
+
+    def result(self) -> Dict[str, object]:
+        """The replay's stats row (what ``BENCH_sched.json`` records)."""
+        controller, env, wall = self.controller, self.env, self.wall_s
+        if not controller.all_done():
+            from repro.errors import SweepError
+
+            raise SweepError(
+                f"sched bench trace did not drain: {len(controller.pending)} "
+                f"pending, {len(controller.running)} running on "
+                f"{self.num_nodes} nodes"
+            )
+        stats = controller.stats.snapshot()
+        if self.telemetry is not None:
+            stats["spans_recorded"] = len(self.telemetry.spans)
+            stats["spans_dropped"] = self.telemetry.dropped
+        return {
+            "mode": "incremental" if self.incremental else "legacy",
+            "jobs": self.jobs,
+            "nodes": self.num_nodes,
+            "lean": self.lean,
+            "wall_s": wall,
+            "makespan_s": env.now,
+            "sim_events": env.events_processed,
+            "events_per_sec": env.events_processed / wall if wall else 0.0,
+            "wall_us_per_pass": (
+                1e6 * wall / stats["passes"] if stats["passes"] else 0.0
+            ),
+            **stats,
+        }
+
+
+def replay_sched_trace(trace, **options) -> Dict[str, object]:
+    """Replay a scheduler trace to completion; return its stats row.
+
+    ``options`` are those of :class:`SchedReplay` (``num_nodes``,
+    ``incremental``, ``backfill_interval``, ``lean``, ``telemetry``).
+    """
+    replay = SchedReplay(trace, **options)
+    replay.advance()
+    return replay.result()
+
+
+def replay_heap_peak_mib(trace, **options) -> float:
+    """Peak Python heap (MiB) one replay allocates, by ``tracemalloc``.
+
+    Runs a separate, untimed replay with ``options`` as in
+    :func:`replay_sched_trace`: tracemalloc slows the interpreter
+    several-fold, so the timed replay never carries it.  Only
+    allocations made during this replay count — not the trace itself
+    nor anything an earlier replay left behind — so each bench row
+    reports its own peak, not the process high-water mark.
+    """
+    import gc
+    import tracemalloc
+
+    gc.collect()
+    tracemalloc.start()
+    try:
+        replay_sched_trace(trace, **options)
+        return tracemalloc.get_traced_memory()[1] / (1024.0 * 1024.0)
+    finally:
+        tracemalloc.stop()
 
 
 def peak_rss_mb() -> float:
     """Process peak RSS in MiB (the kernel's high-water mark).
 
-    Monotone over the process lifetime: a bench row's value is the
-    high-water mark *as of the end of that replay*, so only the largest
-    (last) replay's number bounds the bench itself.
+    Monotone over the process lifetime, so it bounds everything the
+    process did so far, not one replay (see :func:`replay_heap_peak_mib`
+    for that).
     """
     import resource
     import sys
@@ -261,6 +313,7 @@ def run_sched_bench(
     progress=None,
     profile_path: Optional[str] = None,
     trace_path: Optional[str] = None,
+    memory: bool = True,
 ) -> Dict[str, object]:
     """Run the scheduler-scale bench; returns the BENCH_sched.json payload.
 
@@ -270,7 +323,9 @@ def run_sched_bench(
     smallest size is additionally replayed from an SWF round trip of the
     trace, covering the real-log import path.  Sizes at or above
     ``SCHED_LEAN_MIN`` replay lean (flat memory, see
-    :func:`replay_sched_trace`).
+    :class:`SchedReplay`).  With ``memory`` on, every row also gets
+    ``replay_heap_peak_mib`` from a second, untimed replay under
+    tracemalloc (:func:`replay_heap_peak_mib`).
 
     ``profile_path`` wraps the *largest* size's incremental replay in
     cProfile and dumps pstats data there (the CI flamegraph artifact);
@@ -285,6 +340,13 @@ def run_sched_bench(
     t_total = time.perf_counter()
     traces: Dict[str, object] = {}
     generated = {}
+
+    def with_memory(row: Dict[str, object], trace, **options):
+        if memory:
+            say("measuring the heap peak of that replay (tracemalloc)")
+            row["replay_heap_peak_mib"] = replay_heap_peak_mib(trace, **options)
+        return row
+
     for size in sizes:
         if size not in generated:
             say(f"generating {size}-job Feitelson trace")
@@ -330,10 +392,15 @@ def run_sched_bench(
                 f"perfetto trace of the {size}-job replay "
                 f"({exported['events']} events) written to {trace_path}"
             )
-        entry: Dict[str, object] = {"incremental": incremental}
+        entry: Dict[str, object] = {
+            "incremental": with_memory(incremental, trace, lean=lean)
+        }
         if legacy and size <= SCHED_LEGACY_CAP:
             say(f"replaying {size}-job trace (legacy scheduler)")
-            entry["legacy"] = replay_sched_trace(trace, incremental=False)
+            entry["legacy"] = with_memory(
+                replay_sched_trace(trace, incremental=False),
+                trace, incremental=False,
+            )
             entry["speedup"] = speedup_of(entry["legacy"], entry["incremental"])
         traces[str(size)] = entry
 
@@ -341,10 +408,15 @@ def run_sched_bench(
     say(f"replaying {swf_size}-job SWF round-trip trace")
     swf_trace = sched_trace_via_swf(generated[swf_size])
     swf_entry: Dict[str, object] = {
-        "incremental": replay_sched_trace(swf_trace, incremental=True)
+        "incremental": with_memory(
+            replay_sched_trace(swf_trace, incremental=True), swf_trace
+        )
     }
     if legacy and swf_size <= SCHED_LEGACY_CAP:
-        swf_entry["legacy"] = replay_sched_trace(swf_trace, incremental=False)
+        swf_entry["legacy"] = with_memory(
+            replay_sched_trace(swf_trace, incremental=False),
+            swf_trace, incremental=False,
+        )
         swf_entry["speedup"] = speedup_of(
             swf_entry["legacy"], swf_entry["incremental"]
         )
@@ -439,6 +511,7 @@ def check_sched_bench(
         seed=int(committed.get("seed", DEFAULT_BASE_SEED)),
         legacy="legacy" in entry,
         progress=progress,
+        memory=False,  # volatile, so never compared
     )
     drifts = bench_drift(entry, fresh["traces"][str(size)], f"traces.{size}")
     swf = committed.get("swf_roundtrip", {}).get(str(size))

@@ -2,9 +2,10 @@
 
 :class:`ResortPerPassController` is the test oracle for the production
 scheduler.  It re-sorts the whole pending queue with freshly computed
-multifactor priorities on every FIFO and backfill pass, exactly as the
-controller did before :class:`~repro.slurm.queue.PendingQueue` made the
-hot path incremental.  Both must start the same jobs in the same order:
+multifactor priorities on every FIFO and backfill pass, and hands
+Algorithm 1 that sorted queue as a tuple at every policy view, exactly
+as the controller did before :class:`~repro.slurm.queue.PendingQueue`
+made the hot path incremental.  Both must start the same jobs in the same order:
 the differential tests replay the same inputs through each and diff the
 canonical traces, and ``repro bench sched`` replays its traces through
 both (the ``legacy`` rows of ``BENCH_sched.json``) to record how much
@@ -24,13 +25,14 @@ from repro.sim.events import Event
 from repro.slurm.backfill import plan_backfill
 from repro.slurm.controller import SlurmController
 from repro.slurm.job import Job
+from repro.slurm.reconfig import PolicyView
 
 
 class _NoQueue:
     """Stand-in for the pending queue: the reference keeps none.
 
     The controller's queue updates become no-ops, so the reference does
-    and counts only the resort-per-pass work (no heap traffic, no
+    and counts only the resort-per-pass work (no queue traffic, no
     queue-depth tally).
     """
 
@@ -61,6 +63,14 @@ class ResortPerPassController(SlurmController):
         # Every ordered view recomputes one priority per job.
         self.stats.key_evals += len(jobs)
         return self.priority_engine.sort_queue(jobs, self.env.now)
+
+    def policy_view(self) -> PolicyView:
+        """The materialized view: the sorted queue as a tuple, per call."""
+        return PolicyView(
+            free_nodes=self.machine.free_count,
+            pending=tuple(self.pending_jobs(include_resizers=False)),
+            running_count=len(self.running),
+        )
 
     def _scheduling_pass(self, _event: Event) -> None:
         self._pass_scheduled = False

@@ -85,6 +85,37 @@ class TestTelemetry:
         assert len(telemetry.spans) == 2
         assert telemetry.dropped == 3
 
+    def test_pass_columns_become_spans_in_recording_order(self):
+        telemetry = Telemetry()
+        telemetry.record_pass(1.0, "fifo", 3, 1, 12.5)
+        telemetry.record("runtime.reconfig", 1.5, 2.0, track="runtime")
+        telemetry.record_pass(2.0, "backfill", 7, 0, 40.0)
+        telemetry.record_pass(2.5, "fifo", 1, 1, 3.0)
+        assert [(s.name, s.start) for s in telemetry.spans] == [
+            ("sched.pass", 1.0), ("runtime.reconfig", 1.5),
+            ("sched.pass", 2.0), ("sched.pass", 2.5),
+        ]
+        first = telemetry.spans[0]
+        assert (first.end, first.clock, first.track) == (1.0, CLOCK_SIM,
+                                                         "scheduler")
+        assert first.attrs == {"kind": "fifo", "examined": 3, "started": 1,
+                               "wall_us": 12.5}
+        # Reading again after more recording keeps the order.
+        telemetry.instant("fault.inject", 3.0)
+        telemetry.record_pass(3.5, "fifo", 0, 0, 1.0)
+        assert [s.start for s in telemetry.spans] == [1.0, 1.5, 2.0, 2.5,
+                                                      3.0, 3.5]
+
+    def test_pass_columns_share_the_bound(self):
+        telemetry = Telemetry(TelemetryConfig(max_spans=3))
+        telemetry.record_pass(0.0, "fifo", 1, 0, 1.0)
+        telemetry.record("a", 0.5, 1.0)
+        telemetry.record_pass(1.0, "fifo", 1, 0, 1.0)
+        telemetry.record_pass(2.0, "fifo", 1, 0, 1.0)
+        telemetry.record("b", 2.5, 3.0)
+        assert telemetry.counts_by_name() == {"sched.pass": 2, "a": 1}
+        assert telemetry.dropped == 2
+
     def test_wall_span_uses_wall_clock(self):
         telemetry = Telemetry()
         with telemetry.wall_span("serve.request", route="GET /health"):

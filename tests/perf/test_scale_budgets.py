@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.sweep.bench import SCHED_LEAN_MIN, replay_sched_trace
+from repro.sweep.bench import SCHED_LEAN_MIN, peak_rss_mb, replay_sched_trace
 from repro.workload.generator import sched_trace
 
 SEED = 2017
@@ -46,8 +46,9 @@ def _budget_checks(stats, size):
         f"comparisons/pass (budget {MAX_COMPARISONS_PER_PASS}) — is the "
         "incremental queue re-keying per pass again?"
     )
-    assert stats["peak_rss_mb"] <= MAX_RSS_MB[size], (
-        f"peak RSS {stats['peak_rss_mb']:.0f} MiB after the {size}-job "
+    rss = peak_rss_mb()
+    assert rss <= MAX_RSS_MB[size], (
+        f"peak RSS {rss:.0f} MiB after the {size}-job "
         f"replay (budget {MAX_RSS_MB[size]:.0f} MiB)"
     )
 

@@ -2,6 +2,9 @@
 
 import random
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from repro.cluster import Machine
 from repro.metrics.trace import canonical_lines
 from repro.sim import Environment
@@ -113,14 +116,83 @@ class TestIncrementalUpdates:
         queue.reprioritize(small, now=2.0)
         assert queue.pop_head(2.0) is small
 
-    def test_forget_drops_checkout(self):
-        eng = engine()
-        queue = PendingQueue(eng)
-        job = job_of(1, 2, 0.0)
-        queue.add(job, 0.0)
-        assert queue.pop_head(0.0) is job
-        queue.forget(job)
-        assert len(queue) == 0 and queue.pop_head(0.0) is None
+
+#: One queue operation: (op, a, b).  ``a`` picks a job or a width, ``b``
+#: a flag (resizer / infinite boost) or a time step.
+_ops = st.lists(
+    st.tuples(
+        st.sampled_from(
+            ["add", "add", "add", "discard", "reprioritize", "pop",
+             "push_back", "start", "tick"]
+        ),
+        st.integers(min_value=0, max_value=40),
+        st.integers(min_value=0, max_value=9),
+    ),
+    max_size=60,
+)
+
+
+class TestWidthIndex:
+    """Count, minimum width and non-resizer head of a snapshot must equal
+    a brute-force scan of ``ordered()`` after any update sequence."""
+
+    @staticmethod
+    def _check(queue, now):
+        expected = [j for j in queue.ordered(now) if not j.is_resizer]
+        snap = queue.snapshot(now)
+        assert len(snap) == len(expected)
+        assert snap.min_width == min(
+            (j.num_nodes for j in expected), default=None
+        )
+        assert snap.head is (expected[0] if expected else None)
+        assert list(snap) == expected
+        assert list(queue.walk(now)) == queue.ordered(now)
+
+    @given(ops=_ops)
+    @settings(max_examples=200, deadline=None)
+    def test_matches_brute_force_scan(self, ops):
+        # A tiny PriorityMaxAge so ticks cross saturation and force
+        # _rebuild re-keying.
+        queue = PendingQueue(engine(max_age=50.0))
+        now = 0.0
+        live, out = [], []  # queued jobs; jobs checked out by pop_head
+        ids = iter(range(1, 10_000))
+        for op, a, b in ops:
+            if op == "add":
+                job = job_of(next(ids), 1 + a % 16, now,
+                             float("inf") if b == 0 else 0.0)
+                job.is_resizer = b == 1
+                queue.add(job, now)
+                live.append(job)
+            elif op == "discard" and live:
+                queue.discard(live.pop(a % len(live)))
+            elif op == "reprioritize" and live:
+                job = live[a % len(live)]
+                job.priority_boost = float("inf") if b < 5 else 0.0
+                queue.reprioritize(job, now)
+            elif op == "pop":
+                job = queue.pop_head(now)
+                if job is not None:
+                    live.remove(job)
+                    out.append(job)
+            elif op == "push_back" and out:
+                job = out.pop(a % len(out))
+                queue.push_back(job)
+                live.append(job)
+            elif op == "start" and out:
+                # A started moldable job may have been resized while
+                # checked out; discarding it must not read the new size.
+                job = out.pop(a % len(out))
+                job.num_nodes = 1 + b
+                queue.discard(job)
+            elif op == "tick":
+                now += 10.0 * b
+            if not out:  # snapshots are taken between passes
+                self._check(queue, now)
+        for job in out:
+            queue.push_back(job)
+        self._check(queue, now)
+        assert len(queue) == len(live) + len(out)
 
 
 class TestSaturationFallback:
